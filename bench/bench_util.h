@@ -11,9 +11,27 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "base/parse.h"
+
 namespace csl::bench {
+
+/** A positive budget parsed from @p text; a bad or missing value exits
+ * 2 naming the offending @p source. */
+inline double
+parseBudget(const char *text, const char *source)
+{
+    std::optional<double> seconds =
+        text ? parseDouble(text) : std::nullopt;
+    if (!seconds || *seconds <= 0) {
+        std::fprintf(stderr, "bad value '%s' for %s\n", text ? text : "",
+                     source);
+        std::exit(2);
+    }
+    return *seconds;
+}
 
 /**
  * Per-cell wall-clock budget in seconds. Defaults to @p def; override
@@ -24,11 +42,12 @@ namespace csl::bench {
 inline double
 budgetSeconds(int argc, char **argv, double def)
 {
-    for (int i = 1; i + 1 < argc; ++i)
+    for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], "--budget") == 0)
-            return std::atof(argv[i + 1]);
+            return parseBudget(i + 1 < argc ? argv[i + 1] : nullptr,
+                               "--budget");
     if (const char *env = std::getenv("CSL_BENCH_BUDGET"))
-        return std::atof(env);
+        return parseBudget(env, "CSL_BENCH_BUDGET");
     return def;
 }
 

@@ -12,7 +12,7 @@
 
 #include "bitblast/cnf_builder.h"
 #include "bitblast/unroller.h"
-#include "mc/bmc.h"
+#include "mc/engine.h"
 #include "proc/presets.h"
 #include "rtl/builder.h"
 #include "sat/solver.h"
@@ -134,9 +134,11 @@ BM_BmcShadowDepth(benchmark::State &state)
     proc::CoreSpec spec =
         proc::simpleOoOSpec(defense::Defense::DelayFuturistic);
     shadow::buildShadowCircuit(circuit, spec, opts);
+    mc::EngineConfig config;
+    config.maxDepth = size_t(state.range(0));
     for (auto _ : state) {
-        mc::Bmc bmc(circuit);
-        benchmark::DoNotOptimize(bmc.run(size_t(state.range(0))).kind);
+        auto bmc = mc::makeEngine(mc::EngineKind::Bmc, circuit, config);
+        benchmark::DoNotOptimize(mc::runEngine(*bmc, nullptr).verdict);
     }
 }
 BENCHMARK(BM_BmcShadowDepth)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);

@@ -121,22 +121,22 @@ runLeave(const proc::CoreSpec &spec, const LeaveOptions &options)
     }
     result.survivors = survivors->size();
 
-    mc::KInductionOptions kopts;
-    kopts.maxK = options.proofDepth;
-    kopts.assumedInvariants = *survivors;
-    mc::KInduction engine(lc.circuit, kopts);
-    mc::KInductionResult kres = engine.run(&budget);
-    switch (kres.kind) {
-      case mc::KInductionResult::Kind::Proof:
+    mc::EngineConfig config;
+    config.maxDepth = options.proofDepth;
+    config.assumedInvariants = *survivors;
+    auto engine = mc::makeEngine(mc::EngineKind::KInduction, lc.circuit,
+                                 std::move(config));
+    switch (mc::runEngine(*engine, &budget).verdict) {
+      case mc::Verdict::Proof:
         result.kind = LeaveResult::Kind::Proof;
         break;
-      case mc::KInductionResult::Kind::Timeout:
+      case mc::Verdict::Timeout:
         result.kind = LeaveResult::Kind::Timeout;
         break;
-      case mc::KInductionResult::Kind::Cex:
-      case mc::KInductionResult::Kind::Unknown:
-        // Insufficient invariants: LEAVE reports UNKNOWN (false
-        // counterexamples; cannot tell secure from insecure).
+      default:
+        // Attack or BoundedSafe - insufficient invariants: LEAVE reports
+        // UNKNOWN (false counterexamples; cannot tell secure from
+        // insecure).
         result.kind = LeaveResult::Kind::Unknown;
         break;
     }

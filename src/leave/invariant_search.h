@@ -57,10 +57,10 @@ struct LeaveOptions
     std::optional<Deadline> deadline;
     /**
      * Worker threads for the Houdini candidate-pruning phase. Each
-     * shard prunes a slice of the candidate family over its own circuit
-     * clone and publishes survivors to a shared mc::FactBoard; >1 speeds
-     * up the initial prune without changing the surviving set (the
-     * joint fixpoint afterwards is order-independent).
+     * shard prunes a slice of the candidate family in place over its
+     * own circuit clone and the survivors are merged afterwards; >1
+     * speeds up the initial prune without changing the surviving set
+     * (the joint fixpoint afterwards is order-independent).
      */
     size_t houdiniThreads = 1;
 };

@@ -7,76 +7,78 @@
 #ifndef CSL_MC_BMC_H_
 #define CSL_MC_BMC_H_
 
+#include <atomic>
 #include <memory>
-#include <optional>
 
 #include "base/budget.h"
 #include "bitblast/cnf_builder.h"
 #include "bitblast/unroller.h"
-#include "mc/trace.h"
+#include "mc/engine.h"
 #include "rtl/circuit.h"
 #include "sat/solver.h"
 
 namespace csl::mc {
 
-/** Outcome of a (resumable) BMC run. */
-struct BmcResult
-{
-    enum class Kind {
-        Cex,       ///< counterexample found (trace is set)
-        BoundedSafe, ///< no counterexample up to the requested depth
-        Timeout,   ///< budget exhausted
-    };
-    Kind kind = Kind::BoundedSafe;
-    /** Cex: failing frame. BoundedSafe: deepest frame proven safe. */
-    size_t depth = 0;
-    std::optional<Trace> trace;
-    uint64_t conflicts = 0;
-};
-
 /**
- * Resumable incremental BMC: one solver instance accumulates all frames;
- * each depth k is queried via the assumption literal bad(k).
+ * Incremental BMC as an Engine: one solver instance accumulates all
+ * frames; each depth k is queried via the assumption literal bad(k).
+ * One step() solves one frame. Every proven bound is published to the
+ * FactBoard, and deeper bounds published by siblings are imported
+ * (frames adopted as bad-free without solving). Concludes with Attack
+ * (minimal-depth trace), BoundedSafe at maxDepth, or Timeout.
+ *
+ * startSafeDepth is the checkpoint/resume path: frames a previous run of
+ * the same circuit already verified are adopted the same way (the caller
+ * vouches for the match; verif::Journal guards it with a task
+ * fingerprint).
  */
-class Bmc
+class Bmc : public Engine
 {
   public:
-    /** @p decision_seed != 0 perturbs the SAT search (witness retries). */
-    explicit Bmc(const rtl::Circuit &circuit, uint64_t decision_seed = 0);
-    ~Bmc();
+    Bmc(const rtl::Circuit &circuit, EngineConfig config);
+    ~Bmc() override;
 
+    EngineKind kind() const override { return EngineKind::Bmc; }
+    void start(FactBoard *board, Budget *budget) override;
+    bool step() override;
+    void cancel() override;
+    EngineResult takeResult() override;
+
+  protected:
     /**
-     * Search for a counterexample at depths (checkedUpTo, max_depth].
-     * Can be called repeatedly with growing bounds.
+     * Solve frames checked_..depth-1 in order. An Unsat frame is added
+     * as a unit (bad-free from here on); Sat records the attack in
+     * result_. Returns Unsat when every frame is bad-free, Sat on an
+     * attack, and Unknown when a solve was interrupted or the budget ran
+     * out after a frame.
      */
-    BmcResult run(size_t max_depth, Budget *budget = nullptr);
+    sat::Status extendTo(size_t depth, Budget *budget);
 
-    /** Deepest depth k such that all frames 0..k are known safe. */
-    size_t checkedUpTo() const { return checked_; }
+    /** Adopt a deeper bound from the board, capped at maxDepth. */
+    void importBound();
 
-    /**
-     * Declare frames 0..@p depth-1 bad-free without solving - the
-     * checkpoint/resume path, replaying a bound a previous run of the
-     * same circuit already verified (the caller vouches for the match;
-     * verif::Journal guards it with a task fingerprint). The frames are
-     * still unrolled so later queries can build on them.
-     */
-    void markSafeUpTo(size_t depth);
+    /** Publish checked_ to the board. */
+    void publishBound();
 
-    /**
-     * Thread-safe: interrupt an in-flight run() from another thread (the
-     * portfolio's first-winner cancellation). run() returns Timeout; the
-     * request is latched until clearInterrupt().
-     */
-    void requestInterrupt() { solver_.requestInterrupt(); }
-    void clearInterrupt() { solver_.clearInterrupt(); }
+    /** Latch a non-attack verdict. */
+    void conclude(Verdict verdict, size_t depth);
+
+    EngineConfig config_;
+    Budget *budget_ = nullptr;
+    std::atomic<bool> cancelled_{false};
 
   private:
+    /** Declare frames 0..@p depth-1 bad-free without solving. The frames
+     * are still unrolled so later queries can build on them. */
+    void markSafeUpTo(size_t depth);
+
     const rtl::Circuit &circuit_;
+    FactBoard *board_ = nullptr;
+    EngineResult result_;
+    size_t checked_ = 0; ///< number of frames proven bad-free
     sat::Solver solver_;
     std::unique_ptr<bitblast::CnfBuilder> cnf_;
     std::unique_ptr<bitblast::Unroller> unroller_;
-    size_t checked_ = 0; ///< number of frames proven bad-free
 };
 
 } // namespace csl::mc

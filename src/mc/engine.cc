@@ -10,8 +10,6 @@
 
 namespace csl::mc {
 
-using rtl::NetId;
-
 const char *
 verdictName(Verdict verdict)
 {
@@ -104,27 +102,6 @@ FactBoard::safeBound() const
 }
 
 void
-FactBoard::publishInvariants(const std::vector<NetId> &invariants)
-{
-    if (invariants.empty())
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    invariants_.insert(invariants_.end(), invariants.begin(),
-                       invariants.end());
-    std::sort(invariants_.begin(), invariants_.end());
-    invariants_.erase(
-        std::unique(invariants_.begin(), invariants_.end()),
-        invariants_.end());
-}
-
-std::vector<NetId>
-FactBoard::invariants() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return invariants_;
-}
-
-void
 FactBoard::countImport()
 {
     imports_.fetch_add(1, std::memory_order_relaxed);
@@ -137,371 +114,9 @@ FactBoard::imports() const
 }
 
 // ---------------------------------------------------------------------------
-// Engine adapters
+// Engines
 
 Engine::~Engine() = default;
-
-namespace {
-
-/** BMC as an Engine: one frame per step; publishes every bound it
- * proves and imports deeper bounds siblings published. */
-class BmcEngine final : public Engine
-{
-  public:
-    BmcEngine(const rtl::Circuit &circuit, EngineConfig config)
-        : config_(std::move(config)), bmc_(circuit, config_.decisionSeed)
-    {
-    }
-
-    EngineKind kind() const override { return EngineKind::Bmc; }
-
-    void
-    start(FactBoard *board, Budget *budget) override
-    {
-        board_ = board;
-        budget_ = budget;
-        if (config_.startSafeDepth > 0)
-            bmc_.markSafeUpTo(
-                std::min(config_.startSafeDepth, config_.maxDepth));
-        publishBound();
-    }
-
-    bool
-    step() override
-    {
-        importBound();
-        if (cancelled_.load(std::memory_order_relaxed)) {
-            finishTimeout();
-            return true;
-        }
-        if (bmc_.checkedUpTo() >= config_.maxDepth) {
-            result_.verdict = Verdict::BoundedSafe;
-            result_.depth = bmc_.checkedUpTo();
-            result_.deepestSafeBound = bmc_.checkedUpTo();
-            return true;
-        }
-        BmcResult step_result =
-            bmc_.run(bmc_.checkedUpTo() + 1, budget_);
-        result_.conflicts = step_result.conflicts;
-        result_.deepestSafeBound = bmc_.checkedUpTo();
-        publishBound();
-        switch (step_result.kind) {
-          case BmcResult::Kind::Cex:
-            result_.verdict = Verdict::Attack;
-            result_.depth = step_result.depth;
-            result_.trace = std::move(step_result.trace);
-            return true;
-          case BmcResult::Kind::Timeout:
-            finishTimeout();
-            return true;
-          case BmcResult::Kind::BoundedSafe:
-            return false; // deepen
-        }
-        return false;
-    }
-
-    void
-    cancel() override
-    {
-        cancelled_.store(true, std::memory_order_relaxed);
-        bmc_.requestInterrupt();
-    }
-
-    EngineResult takeResult() override { return std::move(result_); }
-
-  private:
-    void
-    importBound()
-    {
-        if (!board_)
-            return;
-        size_t bound = board_->safeBound();
-        if (bound > bmc_.checkedUpTo()) {
-            bmc_.markSafeUpTo(std::min(bound, config_.maxDepth));
-            ++result_.importedFacts;
-            board_->countImport();
-        }
-    }
-
-    void
-    publishBound()
-    {
-        if (board_)
-            board_->publishSafeBound(bmc_.checkedUpTo());
-    }
-
-    void
-    finishTimeout()
-    {
-        result_.verdict = Verdict::Timeout;
-        result_.depth = bmc_.checkedUpTo();
-        result_.deepestSafeBound = bmc_.checkedUpTo();
-    }
-
-    EngineConfig config_;
-    Bmc bmc_;
-    FactBoard *board_ = nullptr;
-    Budget *budget_ = nullptr;
-    std::atomic<bool> cancelled_{false};
-    EngineResult result_;
-};
-
-/** k-induction as an Engine: one induction depth per step; imports
- * sibling-published safe bounds into its base case. */
-class KInductionEngine final : public Engine
-{
-  public:
-    KInductionEngine(const rtl::Circuit &circuit, EngineConfig config)
-        : config_(std::move(config)), engine_(circuit, makeOptions())
-    {
-    }
-
-    EngineKind kind() const override { return EngineKind::KInduction; }
-
-    void
-    start(FactBoard *board, Budget *budget) override
-    {
-        board_ = board;
-        budget_ = budget;
-        publishBound();
-    }
-
-    bool
-    step() override
-    {
-        importBound();
-        if (cancelled_.load(std::memory_order_relaxed)) {
-            finish(Verdict::Timeout, engine_.current().k);
-            return true;
-        }
-        bool done = engine_.step(budget_);
-        publishBound();
-        if (!done)
-            return false;
-        const KInductionResult &kres = engine_.current();
-        result_.conflicts = kres.conflicts;
-        switch (kres.kind) {
-          case KInductionResult::Kind::Cex:
-            result_.verdict = Verdict::Attack;
-            result_.depth = kres.k;
-            result_.trace = kres.trace;
-            break;
-          case KInductionResult::Kind::Proof:
-            finish(Verdict::Proof, kres.k);
-            break;
-          case KInductionResult::Kind::Unknown:
-            finish(Verdict::BoundedSafe, kres.k);
-            break;
-          case KInductionResult::Kind::Timeout:
-            finish(Verdict::Timeout, kres.k);
-            break;
-        }
-        result_.deepestSafeBound = kres.baseSafe;
-        return true;
-    }
-
-    void
-    cancel() override
-    {
-        cancelled_.store(true, std::memory_order_relaxed);
-        engine_.requestInterrupt();
-    }
-
-    EngineResult takeResult() override { return std::move(result_); }
-
-  private:
-    KInductionOptions
-    makeOptions() const
-    {
-        KInductionOptions kopts;
-        kopts.maxK = config_.maxDepth;
-        kopts.assumedInvariants = config_.assumedInvariants;
-        kopts.decisionSeed = config_.decisionSeed;
-        kopts.startSafeDepth = config_.startSafeDepth;
-        return kopts;
-    }
-
-    void
-    importBound()
-    {
-        if (!board_)
-            return;
-        size_t bound = board_->safeBound();
-        if (bound > engine_.baseCheckedUpTo()) {
-            engine_.importBaseSafe(std::min(bound, config_.maxDepth));
-            ++result_.importedFacts;
-            board_->countImport();
-        }
-    }
-
-    void
-    publishBound()
-    {
-        if (board_)
-            board_->publishSafeBound(engine_.baseCheckedUpTo());
-    }
-
-    void
-    finish(Verdict verdict, size_t depth)
-    {
-        result_.verdict = verdict;
-        result_.depth = depth;
-        result_.conflicts = engine_.current().conflicts;
-        result_.deepestSafeBound = engine_.baseCheckedUpTo();
-    }
-
-    EngineConfig config_;
-    KInduction engine_;
-    FactBoard *board_ = nullptr;
-    Budget *budget_ = nullptr;
-    std::atomic<bool> cancelled_{false};
-    EngineResult result_;
-};
-
-/** PDR as an Engine: one major round per step; publishes the bounded
- * safety implied by each completed level. */
-class PdrEngine final : public Engine
-{
-  public:
-    PdrEngine(const rtl::Circuit &circuit, EngineConfig config)
-        : config_(std::move(config)), engine_(circuit, makeOptions())
-    {
-    }
-
-    EngineKind kind() const override { return EngineKind::Pdr; }
-
-    void
-    start(FactBoard *board, Budget *budget) override
-    {
-        board_ = board;
-        budget_ = budget;
-    }
-
-    bool
-    step() override
-    {
-        if (cancelled_.load(std::memory_order_relaxed)) {
-            finish(Verdict::Timeout, engine_.current().frames);
-            return true;
-        }
-        bool done = engine_.step(budget_);
-        publishBound();
-        if (!done)
-            return false;
-        const PdrResult &pres = engine_.current();
-        switch (pres.kind) {
-          case PdrResult::Kind::Cex:
-            result_.verdict = Verdict::Attack;
-            result_.depth = pres.depth;
-            result_.trace = pres.trace;
-            break;
-          case PdrResult::Kind::Proof:
-            finish(Verdict::Proof, pres.depth);
-            break;
-          case PdrResult::Kind::Timeout:
-            finish(Verdict::Timeout, pres.frames);
-            break;
-        }
-        result_.deepestSafeBound = engine_.safeFrames();
-        return true;
-    }
-
-    void
-    cancel() override
-    {
-        cancelled_.store(true, std::memory_order_relaxed);
-        engine_.requestInterrupt();
-    }
-
-    EngineResult takeResult() override { return std::move(result_); }
-
-  private:
-    PdrOptions
-    makeOptions() const
-    {
-        PdrOptions popts;
-        popts.assumedInvariants = config_.assumedInvariants;
-        return popts;
-    }
-
-    void
-    publishBound()
-    {
-        if (board_)
-            board_->publishSafeBound(engine_.safeFrames());
-    }
-
-    void
-    finish(Verdict verdict, size_t depth)
-    {
-        result_.verdict = verdict;
-        result_.depth = depth;
-        result_.deepestSafeBound = engine_.safeFrames();
-    }
-
-    EngineConfig config_;
-    Pdr engine_;
-    FactBoard *board_ = nullptr;
-    Budget *budget_ = nullptr;
-    std::atomic<bool> cancelled_{false};
-    EngineResult result_;
-};
-
-/** Explicit-state BFS as an Engine: a single (possibly long) step,
- * cancellable through its stop flag. */
-class ExhaustiveEngine final : public Engine
-{
-  public:
-    ExhaustiveEngine(const rtl::Circuit &circuit, EngineConfig config)
-        : circuit_(circuit), config_(std::move(config))
-    {
-    }
-
-    EngineKind kind() const override { return EngineKind::Exhaustive; }
-
-    void
-    start(FactBoard *board, Budget *budget) override
-    {
-        board_ = board;
-        budget_ = budget;
-    }
-
-    bool
-    step() override
-    {
-        ExhaustiveResult eres = exhaustiveCheck(
-            circuit_, config_.maxStates, budget_, &cancelled_);
-        if (eres.completed && eres.badReachable) {
-            result_.verdict = Verdict::Attack;
-            result_.depth = eres.badDepth;
-            result_.trace = std::move(eres.trace);
-        } else if (eres.completed) {
-            result_.verdict = Verdict::Proof;
-            result_.depth = eres.statesVisited;
-        } else {
-            result_.verdict = Verdict::Timeout;
-        }
-        return true;
-    }
-
-    void
-    cancel() override
-    {
-        cancelled_.store(true, std::memory_order_relaxed);
-    }
-
-    EngineResult takeResult() override { return std::move(result_); }
-
-  private:
-    const rtl::Circuit &circuit_;
-    EngineConfig config_;
-    FactBoard *board_ = nullptr;
-    Budget *budget_ = nullptr;
-    std::atomic<bool> cancelled_{false};
-    EngineResult result_;
-};
-
-} // namespace
 
 std::unique_ptr<Engine>
 makeEngine(EngineKind kind, const rtl::Circuit &circuit,
@@ -509,18 +124,32 @@ makeEngine(EngineKind kind, const rtl::Circuit &circuit,
 {
     switch (kind) {
       case EngineKind::Bmc:
-        return std::make_unique<BmcEngine>(circuit, std::move(config));
+        return std::make_unique<Bmc>(circuit, std::move(config));
       case EngineKind::KInduction:
-        return std::make_unique<KInductionEngine>(circuit,
-                                                  std::move(config));
+        return std::make_unique<KInduction>(circuit, std::move(config));
       case EngineKind::Pdr:
-        return std::make_unique<PdrEngine>(circuit, std::move(config));
+        return std::make_unique<Pdr>(circuit, std::move(config));
       case EngineKind::Exhaustive:
-        return std::make_unique<ExhaustiveEngine>(circuit,
-                                                  std::move(config));
+        return std::make_unique<ExhaustiveEngine>(circuit);
     }
     csl_panic("unknown engine kind");
     return nullptr;
+}
+
+EngineResult
+runEngine(Engine &engine, Budget *budget, FactBoard *board)
+{
+    engine.start(board, budget);
+    while (!engine.step()) {
+        if (budget && budget->exhausted()) {
+            // Latch the engine's own interrupt so the next step is
+            // guaranteed to conclude (with Timeout), then collect.
+            engine.cancel();
+            engine.step();
+            break;
+        }
+    }
+    return engine.takeResult();
 }
 
 } // namespace csl::mc

@@ -3,8 +3,9 @@
  * The uniform model-checking engine abstraction behind the portfolio
  * facade (DESIGN.md "Engine layer").
  *
- * Every backend - BMC, k-induction, PDR, exhaustive enumeration - is
- * wrapped as an `Engine` with the same life cycle:
+ * Every backend - BMC, k-induction, PDR, exhaustive enumeration - is an
+ * `Engine` built by makeEngine() from one EngineConfig, with the same
+ * life cycle (runEngine() drives it):
  *
  *     engine->start(&board, &budget);   // bind shared facts + budget
  *     while (!engine->step()) { }       // bounded units of work
@@ -17,10 +18,10 @@
  * portfolio sibling can stop a losing engine the moment a conclusive
  * verdict exists.
  *
- * The FactBoard is the mutex-guarded exchange for *monotone* facts:
- * bad-free depth bounds and proven invariants only ever grow, so an
- * engine may import them at any point without unsoundness - a stale read
- * is merely less helpful, never wrong.
+ * The FactBoard is the exchange for the one *monotone* fact engines
+ * share: the bad-free depth bound only ever grows, so an engine may
+ * import it at any point without unsoundness - a stale read is merely
+ * less helpful, never wrong.
  */
 
 #ifndef CSL_MC_ENGINE_H_
@@ -78,14 +79,12 @@ parseEngineList(const std::string &csv);
 std::string engineListName(const std::vector<EngineKind> &kinds);
 
 /**
- * Mutex-guarded exchange of monotone facts between concurrently running
- * engines. Both fact families only ever grow:
- *  - the safe bound is a max (frames 0..bound-1 proven bad-free),
- *  - the invariant set is a union of nets proven to hold in every
- *    reachable state.
- * Monotonicity is what makes mid-run sharing sound under any thread
- * interleaving: importing an old snapshot can never inject a fact that
- * later turns false.
+ * Thread-safe exchange of the bad-free depth bound between concurrently
+ * running engines, plus an import counter. The bound is a max (frames
+ * 0..bound-1 proven bad-free), so it only ever grows; that monotonicity
+ * is what makes mid-run sharing sound under any thread interleaving:
+ * importing an old snapshot can never inject a fact that later turns
+ * false.
  */
 class FactBoard
 {
@@ -96,12 +95,6 @@ class FactBoard
     /** Deepest published bad-free bound. */
     size_t safeBound() const;
 
-    /** Union @p invariants into the proven set. */
-    void publishInvariants(const std::vector<rtl::NetId> &invariants);
-
-    /** Snapshot of the proven invariants, sorted (deterministic). */
-    std::vector<rtl::NetId> invariants() const;
-
     /** Count a fact import by some engine (telemetry). */
     void countImport();
 
@@ -111,7 +104,6 @@ class FactBoard
   private:
     mutable std::mutex mutex_;
     size_t safeBound_ = 0;
-    std::vector<rtl::NetId> invariants_; ///< sorted, unique
     std::atomic<uint64_t> imports_{0};
 };
 
@@ -127,8 +119,6 @@ struct EngineConfig
     uint64_t decisionSeed = 0;
     /** Frames a previous run of this circuit proved bad-free. */
     size_t startSafeDepth = 0;
-    /** Explicit-state budget for the exhaustive engine. */
-    size_t maxStates = 1 << 20;
 };
 
 /** What an engine concluded, plus its salvageable partial answers. */
@@ -141,9 +131,6 @@ struct EngineResult
     uint64_t conflicts = 0;
     /** Deepest bound this engine knows to be bad-free. */
     size_t deepestSafeBound = 0;
-    /** Invariants this engine proved (none of the current backends
-     * discover exportable ones yet; surface reserved by the contract). */
-    std::vector<rtl::NetId> provenInvariants;
     /** Facts this engine imported from the FactBoard. */
     uint64_t importedFacts = 0;
 
@@ -199,6 +186,15 @@ class Engine
 std::unique_ptr<Engine> makeEngine(EngineKind kind,
                                    const rtl::Circuit &circuit,
                                    EngineConfig config = {});
+
+/**
+ * Start @p engine on @p board (may be null) and @p budget (may be null:
+ * unlimited), step it to a conclusion and collect the result. When the
+ * budget runs out between steps the engine is cancelled and stepped once
+ * more, so it concludes with Timeout and keeps its partial facts.
+ */
+EngineResult runEngine(Engine &engine, Budget *budget,
+                       FactBoard *board = nullptr);
 
 } // namespace csl::mc
 

@@ -198,4 +198,34 @@ exhaustiveCheck(const rtl::Circuit &circuit, size_t max_states,
     return result;
 }
 
+void
+ExhaustiveEngine::start(FactBoard *, Budget *budget)
+{
+    budget_ = budget;
+}
+
+bool
+ExhaustiveEngine::step()
+{
+    ExhaustiveResult explored = exhaustiveCheck(
+        circuit_, kExhaustiveMaxStates, budget_, &cancelled_);
+    if (explored.completed && explored.badReachable) {
+        result_.verdict = Verdict::Attack;
+        result_.depth = explored.badDepth;
+        result_.trace = std::move(explored.trace);
+    } else if (explored.completed) {
+        result_.verdict = Verdict::Proof;
+        result_.depth = explored.statesVisited;
+    } else {
+        result_.verdict = Verdict::Timeout;
+    }
+    return true;
+}
+
+void
+ExhaustiveEngine::cancel()
+{
+    cancelled_.store(true, std::memory_order_relaxed);
+}
+
 } // namespace csl::mc

@@ -8,7 +8,8 @@
  * semantics the SAT-based engines implement symbolically. Exponential,
  * so only usable for circuits with a handful of state/input bits, where
  * it serves as an independent oracle for cross-validating BMC and
- * k-induction in the property-test suites.
+ * k-induction in the property-test suites. ExhaustiveEngine puts the
+ * same exploration behind the Engine interface.
  */
 
 #ifndef CSL_MC_EXHAUSTIVE_H_
@@ -19,10 +20,14 @@
 #include <optional>
 
 #include "base/budget.h"
+#include "mc/engine.h"
 #include "mc/trace.h"
 #include "rtl/circuit.h"
 
 namespace csl::mc {
+
+/** Expanded-state limit of exhaustiveCheck() and ExhaustiveEngine. */
+constexpr size_t kExhaustiveMaxStates = 1 << 20;
 
 /** Result of an exhaustive exploration. */
 struct ExhaustiveResult
@@ -46,9 +51,36 @@ struct ExhaustiveResult
  * abandons the exploration with completed=false.
  */
 ExhaustiveResult exhaustiveCheck(const rtl::Circuit &circuit,
-                                 size_t max_states = 1 << 20,
+                                 size_t max_states = kExhaustiveMaxStates,
                                  Budget *budget = nullptr,
                                  const std::atomic<bool> *stop = nullptr);
+
+/**
+ * exhaustiveCheck() as an Engine: a single (possibly long) step,
+ * cancellable through its stop flag. A completed exploration is an
+ * Attack (minimal-depth trace) or a Proof (depth = states visited);
+ * anything else is a Timeout. It shares no facts.
+ */
+class ExhaustiveEngine final : public Engine
+{
+  public:
+    explicit ExhaustiveEngine(const rtl::Circuit &circuit)
+        : circuit_(circuit)
+    {
+    }
+
+    EngineKind kind() const override { return EngineKind::Exhaustive; }
+    void start(FactBoard *board, Budget *budget) override;
+    bool step() override;
+    void cancel() override;
+    EngineResult takeResult() override { return std::move(result_); }
+
+  private:
+    const rtl::Circuit &circuit_;
+    Budget *budget_ = nullptr;
+    std::atomic<bool> cancelled_{false};
+    EngineResult result_;
+};
 
 } // namespace csl::mc
 

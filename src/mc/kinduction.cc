@@ -8,67 +8,61 @@
 
 #include "base/faultpoint.h"
 #include "base/logging.h"
-#include "mc/engine.h"
 
 namespace csl::mc {
 
 using rtl::NetId;
 
-KInduction::KInduction(const rtl::Circuit &circuit, KInductionOptions options)
-    : circuit_(circuit), options_(std::move(options)),
-      base_(circuit, options_.decisionSeed)
+KInduction::KInduction(const rtl::Circuit &circuit, EngineConfig config)
+    : Bmc(circuit, std::move(config))
 {
     stepCnf_ = std::make_unique<bitblast::CnfBuilder>(stepSolver_);
     stepUnroller_ = std::make_unique<bitblast::Unroller>(
         circuit, *stepCnf_, /*free_initial_state=*/true,
-        options_.assumedInvariants);
-    if (options_.decisionSeed != 0)
-        stepSolver_.setDecisionSeed(options_.decisionSeed);
-    if (options_.startSafeDepth > 0)
-        base_.markSafeUpTo(options_.startSafeDepth);
+        config_.assumedInvariants);
+    if (config_.decisionSeed != 0)
+        stepSolver_.setDecisionSeed(config_.decisionSeed);
 }
 
 KInduction::~KInduction() = default;
 
 void
-KInduction::requestInterrupt()
+KInduction::cancel()
 {
-    base_.requestInterrupt();
+    Bmc::cancel();
     stepSolver_.requestInterrupt();
 }
 
-void
-KInduction::clearInterrupt()
+EngineResult
+KInduction::takeResult()
 {
-    base_.clearInterrupt();
-    stepSolver_.clearInterrupt();
+    EngineResult result = Bmc::takeResult();
+    result.conflicts += stepSolver_.stats().conflicts;
+    return result;
 }
 
 bool
-KInduction::step(Budget *budget)
+KInduction::step()
 {
-    if (k_ > options_.maxK) {
-        result_.kind = KInductionResult::Kind::Unknown;
-        result_.k = options_.maxK;
-        result_.baseSafe = base_.checkedUpTo();
+    importBound();
+    if (cancelled_.load(std::memory_order_relaxed)) {
+        conclude(Verdict::Timeout, k_ - 1);
+        return true;
+    }
+    if (k_ > config_.maxDepth) {
+        conclude(Verdict::BoundedSafe, config_.maxDepth);
         return true;
     }
     const size_t k = k_;
 
     // Base case: frames 0..k-1 must be bad-free from the real initial
-    // state. Bounds imported via importBaseSafe() are skipped here.
-    BmcResult base = base_.run(k, budget);
-    result_.conflicts = base.conflicts + stepSolver_.stats().conflicts;
-    result_.baseSafe = base_.checkedUpTo();
-    if (base.kind == BmcResult::Kind::Cex) {
-        result_.kind = KInductionResult::Kind::Cex;
-        result_.k = base.depth;
-        result_.trace = std::move(base.trace);
-        return true;
-    }
-    if (base.kind == BmcResult::Kind::Timeout) {
-        result_.kind = KInductionResult::Kind::Timeout;
-        result_.k = k;
+    // state. Frames already checked or imported are skipped.
+    sat::Status base = extendTo(k, budget_);
+    publishBound();
+    if (base == sat::Status::Sat)
+        return true; // extendTo recorded the attack
+    if (base == sat::Status::Unknown) {
+        conclude(Verdict::Timeout, k);
         return true;
     }
 
@@ -78,7 +72,7 @@ KInduction::step(Budget *budget)
     const size_t had_frames = stepUnroller_->numFrames();
     stepUnroller_->ensureFrames(k + 1);
     for (size_t f = had_frames; f < k + 1; ++f) {
-        for (NetId inv : options_.assumedInvariants)
+        for (NetId inv : config_.assumedInvariants)
             stepCnf_->assertLit(stepUnroller_->wordOf(inv, f)[0]);
     }
     // Frames 0..k-1 are bad-free in the step case. Units for frames
@@ -86,31 +80,18 @@ KInduction::step(Budget *budget)
     stepCnf_->assertLit(~stepUnroller_->badLit(k - 1));
 
     sat::Status status =
-        stepSolver_.solve({stepUnroller_->badLit(k)}, budget);
-    result_.conflicts = base.conflicts + stepSolver_.stats().conflicts;
-    result_.baseSafe = base_.checkedUpTo();
+        stepSolver_.solve({stepUnroller_->badLit(k)}, budget_);
     if (status == sat::Status::Unsat) {
-        result_.kind = KInductionResult::Kind::Proof;
-        result_.k = k;
+        conclude(Verdict::Proof, k);
         return true;
     }
     if (status == sat::Status::Unknown) {
-        result_.kind = KInductionResult::Kind::Timeout;
-        result_.k = k;
+        conclude(Verdict::Timeout, k);
         return true;
     }
     // Sat: the property is not k-inductive; deepen.
     ++k_;
-    result_.kind = KInductionResult::Kind::Unknown;
-    result_.k = k;
     return false;
-}
-
-KInductionResult
-KInduction::run(Budget *budget)
-{
-    while (!step(budget)) {}
-    return result_;
 }
 
 namespace {
@@ -187,16 +168,14 @@ proveInductiveInvariants(const rtl::Circuit &circuit,
 
     if (threads > 1 && candidates.size() >= 2 * threads) {
         // Shard phase 1 across worker threads: each prunes its share of
-        // the candidates on a private clone of the circuit (private
-        // solver state) and publishes the survivors through a FactBoard.
-        // The shards partition the set, so the union is exactly the
-        // sequential survivor set.
+        // the candidates in place on a private clone of the circuit
+        // (private solver state). The shards partition the set, so their
+        // union is exactly the sequential survivor set.
         const size_t shard_count = std::min(threads, candidates.size());
         std::vector<std::vector<NetId>> shards(shard_count);
         for (size_t i = 0; i < candidates.size(); ++i)
             shards[i % shard_count].push_back(candidates[i]);
         std::vector<rtl::Circuit> clones(shard_count, circuit);
-        FactBoard board;
         std::atomic<bool> any_interrupted{false};
         std::vector<std::thread> workers;
         workers.reserve(shard_count);
@@ -214,14 +193,16 @@ proveInductiveInvariants(const rtl::Circuit &circuit,
                                      budget ? &shard_budget : nullptr))
                     any_interrupted.store(true,
                                           std::memory_order_relaxed);
-                // Survivors (or, when interrupted, the shard's
-                // pruned-so-far set - exactly what a restart needs).
-                board.publishInvariants(shards[t]);
             });
         }
         for (std::thread &w : workers)
             w.join();
-        candidates = board.invariants();
+        // Each shard now holds its survivors (or, when interrupted, its
+        // pruned-so-far set - exactly what a restart needs).
+        candidates.clear();
+        for (const std::vector<NetId> &shard : shards)
+            candidates.insert(candidates.end(), shard.begin(), shard.end());
+        std::sort(candidates.begin(), candidates.end());
         if (any_interrupted.load(std::memory_order_relaxed))
             return interrupted();
         if (candidates.empty())

@@ -27,88 +27,36 @@
 #include "bitblast/cnf_builder.h"
 #include "bitblast/unroller.h"
 #include "mc/bmc.h"
-#include "mc/trace.h"
 #include "rtl/circuit.h"
 #include "sat/solver.h"
 
 namespace csl::mc {
 
-/** Outcome of a k-induction run. */
-struct KInductionResult
-{
-    enum class Kind {
-        Cex,     ///< base case found a real counterexample
-        Proof,   ///< property proven for unbounded time
-        Unknown, ///< max k reached without convergence
-        Timeout, ///< budget exhausted
-    };
-    Kind kind = Kind::Unknown;
-    size_t k = 0; ///< Proof: inductive depth; Cex: failing frame
-    std::optional<Trace> trace;
-    uint64_t conflicts = 0;
-    /** Deepest base-case bound proven bad-free (salvageable partial
-     * answer even when the run timed out or was cancelled). */
-    size_t baseSafe = 0;
-};
-
-/** Configuration for KInduction. */
-struct KInductionOptions
-{
-    size_t maxK = 64;
-    /** Trusted invariants asserted per step frame (see file comment). */
-    std::vector<rtl::NetId> assumedInvariants;
-    /** Non-zero: perturb both solvers' decisions (witness retries). */
-    uint64_t decisionSeed = 0;
-    /** Base-case frames a previous run already proved safe (resume). */
-    size_t startSafeDepth = 0;
-};
-
-/** Interleaved base-case BMC + inductive step engine. */
-class KInduction
+/**
+ * k-induction as an Engine: interleaved base-case BMC (the inherited
+ * Bmc frames, with its FactBoard imports and publishes) and the
+ * inductive step. One step() is one induction depth k: the base case up
+ * to k, then the step query at k. Concludes with Proof (depth = k),
+ * Attack (base-case counterexample), BoundedSafe once k exceeds
+ * maxDepth, or Timeout.
+ */
+class KInduction final : public Bmc
 {
   public:
-    KInduction(const rtl::Circuit &circuit, KInductionOptions options = {});
-    ~KInduction();
+    KInduction(const rtl::Circuit &circuit, EngineConfig config);
+    ~KInduction() override;
 
-    /** Run until proof, counterexample, maxK, or budget exhaustion. */
-    KInductionResult run(Budget *budget = nullptr);
-
-    /**
-     * One induction depth: the base case up to the current k, then the
-     * step query at k. Returns true once the run has concluded (outcome
-     * in current()); false to deepen. The stepwise form is what the
-     * portfolio scheduler drives, importing shared facts between steps.
-     */
-    bool step(Budget *budget = nullptr);
-
-    /** Outcome so far; final once step() returned true. */
-    const KInductionResult &current() const { return result_; }
-
-    /** Deepest base-case bound proven (or resumed as) bad-free. */
-    size_t baseCheckedUpTo() const { return base_.checkedUpTo(); }
-
-    /**
-     * Adopt an externally proven bad-free bound (e.g. published by a
-     * concurrently running BMC engine) for the base case: frames
-     * 0..depth-1 are skipped instead of re-solved.
-     */
-    void importBaseSafe(size_t depth) { base_.markSafeUpTo(depth); }
-
-    /** Thread-safe: interrupt both solvers mid-run (see Bmc). */
-    void requestInterrupt();
-    void clearInterrupt();
+    EngineKind kind() const override { return EngineKind::KInduction; }
+    bool step() override;
+    void cancel() override;
+    EngineResult takeResult() override;
 
   private:
-    const rtl::Circuit &circuit_;
-    KInductionOptions options_;
-    Bmc base_;
-
     sat::Solver stepSolver_;
     std::unique_ptr<bitblast::CnfBuilder> stepCnf_;
     std::unique_ptr<bitblast::Unroller> stepUnroller_;
 
-    size_t k_ = 1;            ///< next induction depth to try
-    KInductionResult result_; ///< outcome accumulator (see current())
+    size_t k_ = 1; ///< next induction depth to try
 };
 
 /**
@@ -134,11 +82,11 @@ class KInduction
  * so a resumed run over the pruned set converges to the same fixpoint).
  *
  * @p threads > 1 shards the phase-1 initial-window pruning across that
- * many worker threads, each solving its shard on a private clone of the
- * circuit and publishing survivors through a FactBoard. Pruning is
- * per-candidate, so sharding does not change which candidates survive;
- * the result is identical to the sequential run. The phase-2 joint
- * fixpoint is inherently sequential and always runs single-threaded.
+ * many worker threads, each pruning its shard in place on a private
+ * clone of the circuit; the shards' survivors are then merged in sorted
+ * order. Pruning is per-candidate, so sharding does not change which
+ * candidates survive. The phase-2 joint fixpoint is inherently
+ * sequential and always runs single-threaded.
  */
 std::optional<std::vector<rtl::NetId>> proveInductiveInvariants(
     const rtl::Circuit &circuit, std::vector<rtl::NetId> candidates,

@@ -1,6 +1,7 @@
 #include "mc/pdr.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -8,6 +9,10 @@
 
 #include "base/bits.h"
 #include "base/logging.h"
+#include "bitblast/cnf_builder.h"
+#include "bitblast/unroller.h"
+#include "mc/trace.h"
+#include "sat/solver.h"
 
 namespace csl::mc {
 
@@ -16,6 +21,11 @@ using sat::Lit;
 using sat::Status;
 
 namespace {
+
+/** Upper bound on frames (safety net; Proof/Cex usually earlier). */
+constexpr size_t kMaxFrames = 200;
+/** Literal-dropping attempts per generalization. */
+constexpr size_t kGeneralizeAttempts = 32;
 
 /** A (partial) assignment to the frame-0 state bits. */
 struct Cube
@@ -31,18 +41,17 @@ struct Cube
 /** The PDR engine state. */
 struct Pdr::Impl
 {
-    Impl(const rtl::Circuit &circuit, PdrOptions options)
-        : circuit_(circuit), options_(std::move(options)),
-          transCnf_(transSolver_),
+    Impl(const rtl::Circuit &circuit, const std::vector<NetId> &invariants)
+        : circuit_(circuit), transCnf_(transSolver_),
           trans_(circuit, transCnf_, /*free_initial_state=*/true,
-                 options_.assumedInvariants),
+                 invariants),
           initCnf_(initSolver_),
           init_(circuit, initCnf_, /*free_initial_state=*/false,
-                options_.assumedInvariants)
+                invariants)
     {
         trans_.ensureFrames(2);
         init_.ensureFrames(1);
-        for (NetId inv : options_.assumedInvariants) {
+        for (NetId inv : invariants) {
             transCnf_.assertLit(trans_.wordOf(inv, 0)[0]);
             transCnf_.assertLit(trans_.wordOf(inv, 1)[0]);
             initCnf_.assertLit(init_.wordOf(inv, 0)[0]);
@@ -89,11 +98,10 @@ struct Pdr::Impl
             transSolver_.addClause(~act0, trans_.wordOf(c, 0)[0]);
     }
 
-    /** One major round; see Pdr::step(). */
+    /** One major round; see the Pdr class comment. */
     bool
-    stepOnce(Budget *budget)
+    stepOnce()
     {
-        budget_ = budget;
         if (done_)
             return true;
 
@@ -102,7 +110,7 @@ struct Pdr::Impl
             // Depth-0: a bad initial state.
             Status status = solveTrans({acts_[0], trans_.badLit(0)});
             if (status == Status::Sat) {
-                result_.kind = PdrResult::Kind::Cex;
+                result_.verdict = Verdict::Attack;
                 result_.depth = 0;
                 Cube state = extractState();
                 Trace trace;
@@ -120,7 +128,7 @@ struct Pdr::Impl
             return false;
         }
 
-        if (k_ >= options_.maxFrames)
+        if (k_ >= kMaxFrames)
             return conclude(); // frame budget exhausted: Timeout
 
         // Block all bad states reachable within F_k.
@@ -136,7 +144,7 @@ struct Pdr::Impl
             // Remember the inputs making this state bad: the final
             // cycle of a counterexample trace through it.
             badInputs_.emplace(keyOf(bad_state), inputsAt0());
-            if (!blockObligation(bad_state, k_, result_))
+            if (!blockObligation(bad_state, k_))
                 return conclude(); // cex or timeout (result_ filled)
         }
         // F_k overapproximates the states reachable within k steps and
@@ -161,9 +169,8 @@ struct Pdr::Impl
                     moveCube(c, i, i + 1);
             }
             if (ownedCubes_[i].empty()) {
-                result_.kind = PdrResult::Kind::Proof;
+                result_.verdict = Verdict::Proof;
                 result_.depth = i;
-                result_.frames = k_;
                 return conclude();
             }
         }
@@ -185,14 +192,14 @@ struct Pdr::Impl
         return budget_ && budget_->exhausted();
     }
 
-    /** Latch the final result fields; step() returns true from now on. */
+    /** Latch the final result fields; step() returns true from now on.
+     * A Timeout reports the number of frames built as its depth. */
     bool
     conclude()
     {
         done_ = true;
-        if (result_.frames == 0 && !acts_.empty())
-            result_.frames = acts_.size() - 1;
-        result_.blockedCubes = blocked_;
+        if (result_.verdict == Verdict::Timeout)
+            result_.depth = acts_.size() - 1;
         return true;
     }
 
@@ -267,9 +274,9 @@ struct Pdr::Impl
     }
 
     /** Stitch the obligation chain from initial state @p s0 into a
-     * Trace; leaves result.trace absent when the chain is broken. */
+     * Trace; leaves result_.trace absent when the chain is broken. */
     void
-    buildCexTrace(const Cube &s0, PdrResult &result)
+    buildCexTrace(const Cube &s0)
     {
         Trace trace;
         trace.initialRegs = regsOf(s0);
@@ -280,8 +287,8 @@ struct Pdr::Impl
             if (bad != badInputs_.end()) {
                 trace.inputs.push_back(bad->second);
                 trace.length = trace.inputs.size();
-                result.depth = trace.length - 1;
-                result.trace = std::move(trace);
+                result_.depth = trace.length - 1;
+                result_.trace = std::move(trace);
                 return;
             }
             auto link = parent_.find(cur);
@@ -372,7 +379,7 @@ struct Pdr::Impl
         }
 
         // 2. Bounded literal dropping.
-        size_t attempts = options_.generalizeAttempts;
+        size_t attempts = kGeneralizeAttempts;
         for (size_t idx = 0; idx < cube.bits.size() && attempts > 0;) {
             if (cube.bits.size() <= 1)
                 break;
@@ -398,7 +405,6 @@ struct Pdr::Impl
             clause.push_back(value ? ~state0_[bit] : state0_[bit]);
         transSolver_.addClause(clause);
         ownedCubes_[i].push_back(cube);
-        ++blocked_;
     }
 
     void
@@ -419,10 +425,10 @@ struct Pdr::Impl
 
     /**
      * Recursively block the obligation (state, frame). Returns false when
-     * the run is over (result filled with Cex or left as Timeout).
+     * the run is over (result_ filled with Attack or left as Timeout).
      */
     bool
-    blockObligation(const Cube &state, size_t k, PdrResult &result)
+    blockObligation(const Cube &state, size_t k)
     {
         // Obligations ordered by frame (lowest first).
         std::multimap<size_t, Cube> queue;
@@ -435,11 +441,9 @@ struct Pdr::Impl
             Cube s = it->second;
             if (i == 0) {
                 // A predecessor chain reached the initial states.
-                result.kind = PdrResult::Kind::Cex;
-                result.depth = k;
-                result.frames = k;
-                result.blockedCubes = blocked_;
-                buildCexTrace(s, result);
+                result_.verdict = Verdict::Attack;
+                result_.depth = k;
+                buildCexTrace(s);
                 return false;
             }
             Status status = relativeInduction(s, i, nullptr);
@@ -467,8 +471,9 @@ struct Pdr::Impl
     }
 
     const rtl::Circuit &circuit_;
-    PdrOptions options_;
+    FactBoard *board_ = nullptr;
     Budget *budget_ = nullptr;
+    std::atomic<bool> cancelled_{false};
 
     sat::Solver transSolver_;
     bitblast::CnfBuilder transCnf_;
@@ -482,7 +487,6 @@ struct Pdr::Impl
     std::vector<std::pair<NetId, int>> bitOwner_; ///< state bit -> (reg, bit)
     std::vector<Lit> acts_;
     std::vector<std::vector<Cube>> ownedCubes_;
-    uint64_t blocked_ = 0;
 
     struct Link
     {
@@ -497,62 +501,52 @@ struct Pdr::Impl
     bool done_ = false;
     size_t k_ = 0;
     size_t safeBound_ = 0;
-    PdrResult result_;
+    EngineResult result_;
 };
 
-Pdr::Pdr(const rtl::Circuit &circuit, PdrOptions options)
+Pdr::Pdr(const rtl::Circuit &circuit, EngineConfig config)
 {
     csl_assert(circuit.finalized(), "PDR requires a finalized circuit");
-    impl_ = std::make_unique<Impl>(circuit, std::move(options));
+    impl_ = std::make_unique<Impl>(circuit, config.assumedInvariants);
 }
 
 Pdr::~Pdr() = default;
 
+void
+Pdr::start(FactBoard *board, Budget *budget)
+{
+    impl_->board_ = board;
+    impl_->budget_ = budget;
+}
+
 bool
-Pdr::step(Budget *budget)
+Pdr::step()
 {
-    return impl_->stepOnce(budget);
-}
-
-const PdrResult &
-Pdr::current() const
-{
-    return impl_->result_;
-}
-
-PdrResult
-Pdr::run(Budget *budget)
-{
-    while (!impl_->stepOnce(budget)) {}
-    return impl_->result_;
-}
-
-size_t
-Pdr::safeFrames() const
-{
-    return impl_->safeBound_;
+    Impl &pdr = *impl_;
+    if (pdr.cancelled_.load(std::memory_order_relaxed))
+        return pdr.conclude(); // Timeout
+    bool done = pdr.stepOnce();
+    if (pdr.board_)
+        pdr.board_->publishSafeBound(pdr.safeBound_);
+    return done;
 }
 
 void
-Pdr::requestInterrupt()
+Pdr::cancel()
 {
+    impl_->cancelled_.store(true, std::memory_order_relaxed);
     impl_->transSolver_.requestInterrupt();
     impl_->initSolver_.requestInterrupt();
 }
 
-void
-Pdr::clearInterrupt()
+EngineResult
+Pdr::takeResult()
 {
-    impl_->transSolver_.clearInterrupt();
-    impl_->initSolver_.clearInterrupt();
-}
-
-PdrResult
-runPdr(const rtl::Circuit &circuit, const PdrOptions &options,
-       Budget *budget)
-{
-    Pdr engine(circuit, options);
-    return engine.run(budget);
+    EngineResult &result = impl_->result_;
+    result.conflicts = impl_->transSolver_.stats().conflicts +
+                       impl_->initSolver_.stats().conflicts;
+    result.deepestSafeBound = impl_->safeBound_;
+    return std::move(result);
 }
 
 } // namespace csl::mc

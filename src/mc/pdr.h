@@ -22,101 +22,47 @@
 #ifndef CSL_MC_PDR_H_
 #define CSL_MC_PDR_H_
 
-#include <cstdint>
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "base/budget.h"
-#include "bitblast/cnf_builder.h"
-#include "bitblast/unroller.h"
-#include "mc/trace.h"
+#include "mc/engine.h"
 #include "rtl/circuit.h"
-#include "sat/solver.h"
 
 namespace csl::mc {
 
-/** Outcome of a PDR run. */
-struct PdrResult
-{
-    enum class Kind {
-        Proof,   ///< an inductive frame closed: bad is unreachable
-        Cex,     ///< bad reachable (depth = number of steps from init)
-        Timeout, ///< budget exhausted
-    };
-    Kind kind = Kind::Timeout;
-    size_t depth = 0;  ///< Cex: trace length - 1; Proof: closing frame
-    uint64_t blockedCubes = 0;
-    uint64_t frames = 0;
-    /**
-     * Cex only: a concrete witness reconstructed from the obligation
-     * chain (predecessor states + the input assignments of the SAT
-     * models that produced them). Absent in the rare case the chain
-     * could not be stitched back together; the Cex verdict itself is
-     * still sound.
-     */
-    std::optional<Trace> trace;
-};
-
-/** PDR options. */
-struct PdrOptions
-{
-    /** Upper bound on frames (safety net; Proof/Cex usually earlier). */
-    size_t maxFrames = 200;
-    /** Literal-dropping attempts per generalization. */
-    size_t generalizeAttempts = 32;
-    /**
-     * Trusted invariants (1-bit nets holding in every reachable state,
-     * e.g. Houdini survivors) asserted in every frame - the standard
-     * "PDR with lemmas" strengthening. Sound: restricting the search to
-     * invariant states cannot hide reachable bad states.
-     */
-    std::vector<rtl::NetId> assumedInvariants;
-};
-
 /**
- * The PDR engine as a stepwise object (the form the portfolio scheduler
- * drives); runPdr() below wraps it for one-shot use.
+ * PDR as an Engine. One step() is one major round: the depth-0 check on
+ * the first call, afterwards one level k (block every bad state
+ * reachable within F_k, then propagate clauses forward). After the
+ * block loop at level k succeeds no bad state is reachable within k
+ * steps, so the bound k+1 is published to the FactBoard. Concludes with
+ * Proof (depth = closing frame), Attack (depth = trace length - 1, with
+ * a concrete witness stitched from the obligation chain when the chain
+ * is complete), or Timeout (depth = frames built).
+ *
+ * Uses EngineConfig::assumedInvariants: trusted 1-bit nets holding in
+ * every reachable state (e.g. Houdini survivors), asserted in every
+ * frame - the standard "PDR with lemmas" strengthening. Sound:
+ * restricting the search to invariant states cannot hide reachable bad
+ * states. maxDepth does not bound PDR; a fixed frame cap is the safety
+ * net instead.
  */
-class Pdr
+class Pdr final : public Engine
 {
   public:
-    explicit Pdr(const rtl::Circuit &circuit, PdrOptions options = {});
-    ~Pdr();
+    Pdr(const rtl::Circuit &circuit, EngineConfig config);
+    ~Pdr() override;
 
-    /**
-     * One major round: the depth-0 check on the first call, afterwards
-     * one level k (block every bad state reachable within F_k, then
-     * propagate clauses forward). Returns true once the run concluded;
-     * the outcome is in current().
-     */
-    bool step(Budget *budget = nullptr);
-
-    /** Outcome so far; final once step() returned true. */
-    const PdrResult &current() const;
-
-    /** Run to conclusion. */
-    PdrResult run(Budget *budget = nullptr);
-
-    /**
-     * Cycles proven bad-free so far: after the block loop at level k
-     * succeeds, no bad state is reachable within k steps, i.e. frames
-     * 0..k are bad-free (a BMC-style bound of k+1).
-     */
-    size_t safeFrames() const;
-
-    /** Thread-safe: interrupt both solvers mid-run (see Bmc). */
-    void requestInterrupt();
-    void clearInterrupt();
+    EngineKind kind() const override { return EngineKind::Pdr; }
+    void start(FactBoard *board, Budget *budget) override;
+    bool step() override;
+    void cancel() override;
+    EngineResult takeResult() override;
 
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/** Run PDR on the circuit's bad-state property. */
-PdrResult runPdr(const rtl::Circuit &circuit, const PdrOptions &options = {},
-                 Budget *budget = nullptr);
 
 } // namespace csl::mc
 

@@ -78,22 +78,7 @@ checkProperty(const rtl::Circuit &circuit, const CheckOptions &options)
         // by the shared (atomic) deadline slice.
         Budget budget(options.timeoutSeconds);
         budget.attachDeadline(shared);
-        Engine &engine = *runs[i].engine;
-        engine.start(&board, &budget);
-        for (;;) {
-            if (engine.step()) {
-                runs[i].result = engine.takeResult();
-                break;
-            }
-            if (budget.exhausted()) {
-                // Latch the engine's own interrupt so the next step is
-                // guaranteed to conclude (with Timeout), then collect.
-                engine.cancel();
-                engine.step();
-                runs[i].result = engine.takeResult();
-                break;
-            }
-        }
+        runs[i].result = runEngine(*runs[i].engine, &budget, &board);
         runs[i].seconds = engine_watch.seconds();
 
         // First conclusive verdict wins; losers are cancelled through

@@ -7,9 +7,9 @@
  * Each selected engine runs on its own thread over a private clone of
  * the circuit; the first conclusive verdict (Attack or Proof) wins and
  * cancels the others through the thread-safe solver interrupt. While
- * running, engines exchange monotone facts (bad-free bounds, proven
- * invariants) through a shared FactBoard, so e.g. a BMC-published safe
- * bound shortens a sibling k-induction's base case mid-run.
+ * running, engines share the monotone bad-free bound through a FactBoard,
+ * so e.g. a BMC-published safe bound shortens a sibling k-induction's
+ * base case mid-run.
  */
 
 #ifndef CSL_MC_PORTFOLIO_H_

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mc/bmc.h"
+#include "mc/engine.h"
 #include "mc/kinduction.h"
 #include "mc/portfolio.h"
 #include "mc/trace.h"
@@ -27,13 +27,26 @@ buildCounter(Circuit &circuit, int width, uint64_t target, uint64_t step = 1)
     b.finish();
 }
 
+// Build one engine through makeEngine and drive it to a conclusion.
+EngineResult
+runKind(EngineKind kind, const Circuit &circuit, size_t max_depth,
+        FactBoard *board = nullptr,
+        std::vector<rtl::NetId> invariants = {})
+{
+    EngineConfig config;
+    config.maxDepth = max_depth;
+    config.assumedInvariants = std::move(invariants);
+    std::unique_ptr<Engine> engine =
+        makeEngine(kind, circuit, std::move(config));
+    return runEngine(*engine, nullptr, board);
+}
+
 TEST(Bmc, FindsCounterexampleAtExactDepth)
 {
     Circuit circuit;
     buildCounter(circuit, 4, 7);
-    Bmc bmc(circuit);
-    BmcResult r = bmc.run(20);
-    ASSERT_EQ(r.kind, BmcResult::Kind::Cex);
+    EngineResult r = runKind(EngineKind::Bmc, circuit, 20);
+    ASSERT_EQ(r.verdict, Verdict::Attack);
     EXPECT_EQ(r.depth, 7u); // counter hits 7 at cycle 7
     ASSERT_TRUE(r.trace.has_value());
     ReplayResult replay = replayTrace(circuit, *r.trace);
@@ -45,22 +58,27 @@ TEST(Bmc, BoundedSafeBelowThreshold)
 {
     Circuit circuit;
     buildCounter(circuit, 4, 9);
-    Bmc bmc(circuit);
-    BmcResult r = bmc.run(9); // frames 0..8 only
-    EXPECT_EQ(r.kind, BmcResult::Kind::BoundedSafe);
+    FactBoard board;
+    EngineResult r =
+        runKind(EngineKind::Bmc, circuit, 9, &board); // frames 0..8 only
+    EXPECT_EQ(r.verdict, Verdict::BoundedSafe);
     EXPECT_EQ(r.depth, 9u);
-    // Resuming deeper finds the bug without re-checking old depths.
-    BmcResult r2 = bmc.run(12);
-    ASSERT_EQ(r2.kind, BmcResult::Kind::Cex);
+    EXPECT_EQ(r.deepestSafeBound, 9u);
+    EXPECT_EQ(board.safeBound(), 9u);
+    // Resuming deeper from the published bound finds the bug without
+    // re-checking old depths: frames 0..8 arrive as one import.
+    EngineResult r2 = runKind(EngineKind::Bmc, circuit, 12, &board);
+    ASSERT_EQ(r2.verdict, Verdict::Attack);
     EXPECT_EQ(r2.depth, 9u);
+    EXPECT_EQ(r2.importedFacts, 1u);
 }
 
 TEST(Bmc, UnreachableTargetStaysSafe)
 {
     Circuit circuit;
     buildCounter(circuit, 4, 3, /*step=*/2); // even counter, odd target
-    Bmc bmc(circuit);
-    EXPECT_EQ(bmc.run(40).kind, BmcResult::Kind::BoundedSafe);
+    EXPECT_EQ(runKind(EngineKind::Bmc, circuit, 40).verdict,
+              Verdict::BoundedSafe);
 }
 
 TEST(KInduction, ProvesSimpleInvariant)
@@ -75,19 +93,17 @@ TEST(KInduction, ProvesSimpleInvariant)
     b.assertAlways(b.ne(c, b.lit(12, 4)), "c_ne_12");
     b.finish();
 
-    KInduction engine(circuit, {.maxK = 16, .assumedInvariants = {}});
-    KInductionResult r = engine.run();
-    EXPECT_EQ(r.kind, KInductionResult::Kind::Proof);
+    EngineResult r = runKind(EngineKind::KInduction, circuit, 16);
+    EXPECT_EQ(r.verdict, Verdict::Proof);
 }
 
 TEST(KInduction, FindsCexViaBaseCase)
 {
     Circuit circuit;
     buildCounter(circuit, 4, 5);
-    KInduction engine(circuit);
-    KInductionResult r = engine.run();
-    ASSERT_EQ(r.kind, KInductionResult::Kind::Cex);
-    EXPECT_EQ(r.k, 5u);
+    EngineResult r = runKind(EngineKind::KInduction, circuit, 16);
+    ASSERT_EQ(r.verdict, Verdict::Attack);
+    EXPECT_EQ(r.depth, 5u);
     ASSERT_TRUE(r.trace.has_value());
     EXPECT_TRUE(replayTrace(circuit, *r.trace).badReached);
 }
@@ -104,10 +120,9 @@ TEST(KInduction, NonInductiveWithoutInvariantNeedsHigherK)
     b.connect(c, b.addConst(c, 1));
     b.assertAlways(b.eq(a, c), "a_eq_c");
     b.finish();
-    KInduction engine(circuit);
-    KInductionResult r = engine.run();
-    EXPECT_EQ(r.kind, KInductionResult::Kind::Proof);
-    EXPECT_EQ(r.k, 1u);
+    EngineResult r = runKind(EngineKind::KInduction, circuit, 16);
+    EXPECT_EQ(r.verdict, Verdict::Proof);
+    EXPECT_EQ(r.depth, 1u);
 }
 
 TEST(KInduction, AssumedInvariantEnablesProof)
@@ -132,11 +147,10 @@ TEST(KInduction, AssumedInvariantEnablesProof)
     ASSERT_TRUE(proved.has_value());
     ASSERT_EQ(proved->size(), 1u);
 
-    KInductionOptions opts;
-    opts.maxK = 8;
-    opts.assumedInvariants = *proved;
-    KInduction engine(circuit, opts);
-    EXPECT_EQ(engine.run().kind, KInductionResult::Kind::Proof);
+    EXPECT_EQ(
+        runKind(EngineKind::KInduction, circuit, 8, nullptr, *proved)
+            .verdict,
+        Verdict::Proof);
 }
 
 TEST(Houdini, DropsNonInvariantCandidates)
@@ -183,9 +197,8 @@ TEST(Trace, FormatListsCycles)
 {
     Circuit circuit;
     buildCounter(circuit, 4, 3);
-    Bmc bmc(circuit);
-    BmcResult r = bmc.run(10);
-    ASSERT_EQ(r.kind, BmcResult::Kind::Cex);
+    EngineResult r = runKind(EngineKind::Bmc, circuit, 10);
+    ASSERT_EQ(r.verdict, Verdict::Attack);
     rtl::NetId c = circuit.findByName("c");
     std::string s = formatTrace(circuit, *r.trace, {c});
     EXPECT_NE(s.find("cycle 0: c=0"), std::string::npos);

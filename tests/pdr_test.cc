@@ -5,8 +5,8 @@
 
 #include <random>
 
+#include "mc/engine.h"
 #include "mc/exhaustive.h"
-#include "mc/pdr.h"
 #include "rtl/builder.h"
 
 namespace csl::mc {
@@ -26,20 +26,28 @@ buildCounter(Circuit &circuit, int width, uint64_t target, uint64_t step = 1)
     b.finish();
 }
 
+// Build a PDR engine through makeEngine and drive it to a conclusion.
+EngineResult
+checkWithPdr(const Circuit &circuit, Budget *budget = nullptr)
+{
+    std::unique_ptr<Engine> engine = makeEngine(EngineKind::Pdr, circuit);
+    return runEngine(*engine, budget);
+}
+
 TEST(Pdr, FindsCexOnReachableBad)
 {
     Circuit circuit;
     buildCounter(circuit, 4, 7);
-    PdrResult r = runPdr(circuit);
-    EXPECT_EQ(r.kind, PdrResult::Kind::Cex);
+    EngineResult r = checkWithPdr(circuit);
+    EXPECT_EQ(r.verdict, Verdict::Attack);
 }
 
 TEST(Pdr, ProvesUnreachableBad)
 {
     Circuit circuit;
     buildCounter(circuit, 4, 3, /*step=*/2); // even counter, odd target
-    PdrResult r = runPdr(circuit);
-    EXPECT_EQ(r.kind, PdrResult::Kind::Proof);
+    EngineResult r = checkWithPdr(circuit);
+    EXPECT_EQ(r.verdict, Verdict::Proof);
 }
 
 TEST(Pdr, BadAtDepthZero)
@@ -50,8 +58,8 @@ TEST(Pdr, BadAtDepthZero)
     b.connect(r, r);
     b.assertAlways(b.ne(r, b.lit(5, 3)), "prop");
     b.finish();
-    PdrResult res = runPdr(circuit);
-    EXPECT_EQ(res.kind, PdrResult::Kind::Cex);
+    EngineResult res = checkWithPdr(circuit);
+    EXPECT_EQ(res.verdict, Verdict::Attack);
     EXPECT_EQ(res.depth, 0u);
 }
 
@@ -66,8 +74,8 @@ TEST(Pdr, InitConstraintsRespected)
     b.assumeInit(b.ult(r, b.lit(4, 3)), "small");
     b.assertAlways(b.ne(r, b.lit(6, 3)), "prop");
     b.finish();
-    PdrResult res = runPdr(circuit);
-    EXPECT_EQ(res.kind, PdrResult::Kind::Proof);
+    EngineResult res = checkWithPdr(circuit);
+    EXPECT_EQ(res.verdict, Verdict::Proof);
 }
 
 TEST(Pdr, PerCycleConstraintsPrunePaths)
@@ -82,8 +90,8 @@ TEST(Pdr, PerCycleConstraintsPrunePaths)
     b.assume(b.eqConst(in, 0), "in_zero");
     b.assertAlways(b.ne(c, b.lit(5, 4)), "prop");
     b.finish();
-    PdrResult res = runPdr(circuit);
-    EXPECT_EQ(res.kind, PdrResult::Kind::Proof);
+    EngineResult res = checkWithPdr(circuit);
+    EXPECT_EQ(res.verdict, Verdict::Proof);
 }
 
 TEST(Pdr, ProvesPropertyThatDefeatsLowKInduction)
@@ -96,8 +104,8 @@ TEST(Pdr, ProvesPropertyThatDefeatsLowKInduction)
     b.connect(c, b.incMod(c, 20));        // reachable: 0..19
     b.assertAlways(b.ne(c, b.lit(27, 5)), "prop");
     b.finish();
-    PdrResult res = runPdr(circuit);
-    EXPECT_EQ(res.kind, PdrResult::Kind::Proof);
+    EngineResult res = checkWithPdr(circuit);
+    EXPECT_EQ(res.verdict, Verdict::Proof);
 }
 
 TEST(Pdr, ProvesParityInvariantThatDefeatsKInduction)
@@ -111,8 +119,8 @@ TEST(Pdr, ProvesParityInvariantThatDefeatsKInduction)
     b.assertAlways(b.ne(c, b.lit(0xffffff, 24)), "prop");
     b.finish();
     Budget budget(60.0);
-    PdrResult res = runPdr(circuit, {}, &budget);
-    EXPECT_EQ(res.kind, PdrResult::Kind::Proof);
+    EngineResult res = checkWithPdr(circuit, &budget);
+    EXPECT_EQ(res.verdict, Verdict::Proof);
 }
 
 TEST(Pdr, TimeoutOnTinyBudget)
@@ -127,8 +135,8 @@ TEST(Pdr, TimeoutOnTinyBudget)
     b.assertAlways(b.ne(b.mul(a, c), b.lit(0xabc, 12)), "prop");
     b.finish();
     Budget budget(1e9, /*work=*/3);
-    PdrResult res = runPdr(circuit, {}, &budget);
-    EXPECT_EQ(res.kind, PdrResult::Kind::Timeout);
+    EngineResult res = checkWithPdr(circuit, &budget);
+    EXPECT_EQ(res.verdict, Verdict::Timeout);
 }
 
 // Random-circuit agreement with the explicit-state oracle (the same
@@ -180,12 +188,12 @@ TEST_P(PdrCrossCheck, AgreesWithExhaustiveOracle)
         ExhaustiveResult oracle = exhaustiveCheck(circuit);
         ASSERT_TRUE(oracle.completed);
         Budget budget(30.0);
-        PdrResult res = runPdr(circuit, {}, &budget);
-        if (res.kind == PdrResult::Kind::Timeout)
+        EngineResult res = checkWithPdr(circuit, &budget);
+        if (res.verdict == Verdict::Timeout)
             continue; // budget-bound; no verdict to compare
-        EXPECT_EQ(res.kind == PdrResult::Kind::Cex, oracle.badReachable)
+        EXPECT_EQ(res.verdict == Verdict::Attack, oracle.badReachable)
             << "round " << round << ": PDR said "
-            << (res.kind == PdrResult::Kind::Cex ? "cex" : "proof")
+            << (res.verdict == Verdict::Attack ? "cex" : "proof")
             << ", oracle bad-reachable=" << oracle.badReachable;
     }
 }

@@ -142,17 +142,9 @@ TEST(FactBoard, SafeBoundIsMonotoneMax)
     EXPECT_EQ(board.safeBound(), 9u);
 }
 
-TEST(FactBoard, InvariantsAreASortedUnion)
+TEST(FactBoard, ImportsAreCounted)
 {
     mc::FactBoard board;
-    board.publishInvariants({7, 3});
-    board.publishInvariants({3, 11});
-    std::vector<rtl::NetId> inv = board.invariants();
-    ASSERT_EQ(inv.size(), 3u);
-    EXPECT_EQ(inv[0], 3);
-    EXPECT_EQ(inv[1], 7);
-    EXPECT_EQ(inv[2], 11);
-
     EXPECT_EQ(board.imports(), 0u);
     board.countImport();
     board.countImport();
@@ -172,10 +164,7 @@ TEST(FactBoard, PublishedBoundIsImportedByEngines)
     board.publishSafeBound(6); // frames 0..5 genuinely bad-free
     Budget budget(60.0);
     auto engine = mc::makeEngine(EngineKind::Bmc, circuit, config);
-    engine->start(&board, &budget);
-    while (!engine->step()) {
-    }
-    mc::EngineResult r = engine->takeResult();
+    mc::EngineResult r = mc::runEngine(*engine, &budget, &board);
     EXPECT_EQ(r.verdict, Verdict::Attack);
     EXPECT_EQ(r.depth, 7u);
     EXPECT_GE(r.importedFacts, 1u);
@@ -196,15 +185,36 @@ TEST(FactBoard, BmcBoundShortensKInductionBaseCase)
     board.publishSafeBound(8);
     Budget budget(60.0);
     auto engine = mc::makeEngine(EngineKind::KInduction, circuit, config);
-    engine->start(&board, &budget);
-    while (!engine->step()) {
-    }
-    mc::EngineResult r = engine->takeResult();
+    mc::EngineResult r = mc::runEngine(*engine, &budget, &board);
     EXPECT_EQ(r.verdict, Verdict::Proof);
     EXPECT_GE(r.importedFacts, 1u);
 }
 
-// --- Engine adapters through the portfolio --------------------------------
+// --- Engine contract ------------------------------------------------------
+
+TEST(EngineContract, CancelBeforeStepConcludesWithTimeout)
+{
+    // Every backend must honour a cancel() that lands between start()
+    // and its first step: that step concludes, with Timeout, even on a
+    // circuit each engine would otherwise decide at once.
+    Circuit circuit;
+    buildCounter(circuit, 4, 6);
+    for (EngineKind kind :
+         {EngineKind::Bmc, EngineKind::KInduction, EngineKind::Pdr,
+          EngineKind::Exhaustive}) {
+        mc::FactBoard board;
+        Budget budget(60.0);
+        auto engine = mc::makeEngine(kind, circuit);
+        engine->start(&board, &budget);
+        engine->cancel();
+        EXPECT_TRUE(engine->step()) << mc::engineKindName(kind);
+        mc::EngineResult r = engine->takeResult();
+        EXPECT_EQ(r.verdict, Verdict::Timeout) << mc::engineKindName(kind);
+        EXPECT_FALSE(r.trace.has_value()) << mc::engineKindName(kind);
+    }
+}
+
+// --- Engines through the portfolio ---------------------------------------
 
 TEST(Portfolio, SingleEngineSetsMatchOnAttackCircuit)
 {

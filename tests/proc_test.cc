@@ -154,6 +154,11 @@ struct TandemParam
     CoreSpec spec;
 };
 
+// gtest otherwise prints the parameter as its raw bytes, a string pointer
+// and struct padding among them, and those bytes become part of the test
+// names ctest discovers, so the names would change from build to build.
+void PrintTo(const TandemParam &p, std::ostream *os) { *os << p.name; }
+
 class Tandem : public ::testing::TestWithParam<TandemParam>
 {};
 

@@ -24,13 +24,13 @@ cmake -B "$build" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCSL_SANITIZE=address,undefined
 cmake --build "$build" -j "$jobs"
-# The wall-clock bench smokes are excluded here: their runtime under a
-# sanitizer is dominated by verification runs burning their full (real-
-# time) budgets, which tells us nothing the plain-build ctest entries
-# don't. resilience_smoke still runs under ASan below, without a ctest
-# timeout; the portfolio's concurrency is the TSan pass's job.
-ctest --test-dir "$build" --output-on-failure -j "$jobs" \
-    -E '^(resilience_smoke|portfolio_smoke|reduction_smoke|campaign_smoke)$'
+# The wall-clock bench smokes (ctest label `bench`) are excluded here:
+# their runtime under a sanitizer is dominated by verification runs
+# burning their full (real-time) budgets, which tells us nothing the
+# plain-build ctest entries don't. resilience_smoke still runs under
+# ASan below, without a ctest timeout; the portfolio's concurrency is
+# the TSan pass's job.
+ctest --test-dir "$build" --output-on-failure -j "$jobs" -LE bench
 
 # The fault-injection matrix exercises the runtime's recovery paths
 # (degraded solver, interrupted Houdini, SIGKILL + resume); run it under
